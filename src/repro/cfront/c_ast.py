@@ -25,9 +25,6 @@ class Coord:
                 and (self.filename, self.line, self.column)
                 == (other.filename, other.line, other.column))
 
-    def __deepcopy__(self, memo):
-        return self  # immutable; shared freely across AST copies
-
 
 class Node:
     """Base AST node."""
@@ -66,17 +63,52 @@ class Node:
 
 def link_parents(root):
     """Populate ``node.parent`` across the whole tree under ``root``."""
-    for _, child in root.children():
-        child.parent = root
-        link_parents(child)
+    # each parent is set when its child is reached in pre-order, the
+    # order the recursive definition assigns them in, so a node that
+    # appears twice in the tree ends up with the same parent
+    stack = [(root, root.parent)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node, parent = pop()
+        node.parent = parent
+        for field in reversed(node._fields):
+            value = getattr(node, field, None)
+            if value is None:
+                continue
+            if isinstance(value, list):
+                for item in reversed(value):
+                    if isinstance(item, Node):
+                        push((item, node))
+            elif isinstance(value, Node):
+                push((value, node))
     return root
 
 
 def walk(root):
-    """Depth-first pre-order generator over all nodes."""
-    yield root
-    for _, child in root.children():
-        yield from walk(child)
+    """Depth-first pre-order generator over all nodes: each node, then
+    its children in field order (list fields in list order).
+
+    Iterative, so deep trees cannot exhaust the recursion limit.  A
+    node's children are read only after the node itself has been
+    yielded, so a consumer may rewrite the fields of the node it was
+    just handed and the walk descends into the new children."""
+    stack = [root]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node = pop()
+        yield node
+        for field in reversed(node._fields):
+            value = getattr(node, field, None)
+            if value is None:
+                continue
+            if isinstance(value, list):
+                for item in reversed(value):
+                    if isinstance(item, Node):
+                        push(item)
+            elif isinstance(value, Node):
+                push(value)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +124,14 @@ class TranslationUnit(Node):
         super().__init__(coord)
         self.decls = decls if decls is not None else []
         self.includes = includes if includes is not None else []
+        # the simulator's compiled form (repro.sim.compile), set on
+        # first compile; a cache, so copies and pickles leave it out
+        self.compiled = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["compiled"] = None
+        return state
 
     def functions(self):
         """All function definitions, in source order."""

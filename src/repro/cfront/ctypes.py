@@ -49,12 +49,6 @@ class CType:
     def __hash__(self):
         return hash(repr(self))
 
-    def __deepcopy__(self, memo):
-        # types are immutable value objects (see module docstring):
-        # deep copies of ASTs can safely share them, which keeps the
-        # frontend's parse-cache copies cheap
-        return self
-
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self.to_c())
 

@@ -3,15 +3,24 @@
 ``parse_program`` memoizes on a hash of the source (plus the
 preprocessor inputs), so benchmark harnesses and test suites that parse
 the same program repeatedly skip re-lexing and re-parsing.  Cache hits
-return a deep copy by default — callers (the translation framework's
-passes) mutate their units freely — while read-only consumers can pass
-``share=True`` to receive the pristine cached master itself.
+return a private clone by default — callers (the translation
+framework's passes) mutate their units freely — while read-only
+consumers can pass ``share=True`` to receive the pristine cached master
+itself.
+
+Clones are unpickled from a snapshot of the master, which is several
+times cheaper than ``copy.deepcopy``.  C types and source coordinates
+are immutable value objects, so the snapshot refers to them by
+persistent id and every clone shares the master's.
 """
 
-import copy
 import hashlib
+import io
+import pickle
 from collections import OrderedDict
 
+from repro.cfront.c_ast import Coord
+from repro.cfront.ctypes import CType
 from repro.cfront.parser import parse
 from repro.cfront.preprocessor import preprocess
 
@@ -21,7 +30,7 @@ ENVIRONMENT_HEADERS = {
     "unistd.h", "sys/time.h", "time.h", "RCCE.h",
 }
 
-_PARSE_CACHE = OrderedDict()   # key -> pristine TranslationUnit
+_PARSE_CACHE = OrderedDict()   # key -> _CacheEntry
 _PARSE_CACHE_MAX = 64
 _HITS = 0
 _MISSES = 0
@@ -39,14 +48,65 @@ def _cache_key(source, filename, predefined, header_map):
     return digest, filename, predefined_key, header_key
 
 
+_SHARED_BY_IDENTITY = (CType, Coord)
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """Pickles an AST, leaving its immutable objects out by id."""
+
+    def __init__(self, file, shared):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._shared = shared
+        self._index = {}
+
+    def persistent_id(self, obj):
+        if not isinstance(obj, _SHARED_BY_IDENTITY):
+            return None
+        index = self._index.get(id(obj))
+        if index is None:
+            index = self._index[id(obj)] = len(self._shared)
+            self._shared.append(obj)
+        return index
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    def __init__(self, file, shared):
+        super().__init__(file)
+        self._shared = shared
+
+    def persistent_load(self, pid):
+        return self._shared[pid]
+
+
+class _CacheEntry:
+    """A cached master unit and, once a caller asked for a private
+    clone, the ``(pickle, shared objects)`` snapshot clones come from."""
+
+    __slots__ = ("master", "snapshot")
+
+    def __init__(self, master):
+        self.master = master
+        self.snapshot = None
+
+    def clone(self):
+        snapshot = self.snapshot
+        if snapshot is None:
+            shared = []
+            buffer = io.BytesIO()
+            _SnapshotPickler(buffer, shared).dump(self.master)
+            snapshot = self.snapshot = (buffer.getvalue(), shared)
+        blob, shared = snapshot
+        return _SnapshotUnpickler(io.BytesIO(blob), shared).load()
+
+
 def parse_program(source, filename="<source>", predefined=None,
                   header_map=None, share=False):
     """Preprocess and parse ``source``; returns a TranslationUnit whose
     ``includes`` records the headers the program asked for.
 
     Results are memoized on (source hash, filename, preprocessor
-    inputs).  By default every call gets its own deep copy of the
-    cached unit; ``share=True`` returns the cached master directly —
+    inputs).  By default every call gets its own clone of the cached
+    unit; ``share=True`` returns the cached master directly —
     only for callers that will never mutate the AST (this also lets
     repeat runs share downstream per-unit caches, e.g. the compiled
     closures in ``repro.sim.compile``).
@@ -59,20 +119,20 @@ def parse_program(source, filename="<source>", predefined=None,
     if key is None:
         return parse_program_uncached(source, filename, predefined,
                                       header_map)
-    unit = _PARSE_CACHE.get(key)
-    if unit is not None:
+    entry = _PARSE_CACHE.get(key)
+    if entry is not None:
         _PARSE_CACHE.move_to_end(key)
         _HITS += 1
-        return unit if share else copy.deepcopy(unit)
-    _MISSES += 1
-    unit = parse_program_uncached(source, filename, predefined,
-                                  header_map)
-    _PARSE_CACHE[key] = unit
-    while len(_PARSE_CACHE) > _PARSE_CACHE_MAX:
-        _PARSE_CACHE.popitem(last=False)
-    # the master just cached is what we hand out on this miss too: a
-    # non-sharing caller gets a copy so it cannot poison the cache
-    return unit if share else copy.deepcopy(unit)
+    else:
+        _MISSES += 1
+        entry = _CacheEntry(parse_program_uncached(
+            source, filename, predefined, header_map))
+        _PARSE_CACHE[key] = entry
+        while len(_PARSE_CACHE) > _PARSE_CACHE_MAX:
+            _PARSE_CACHE.popitem(last=False)
+    # the master just cached is what we hand out on a miss too: a
+    # non-sharing caller gets a clone so it cannot poison the cache
+    return entry.master if share else entry.clone()
 
 
 def parse_program_uncached(source, filename="<source>", predefined=None,

@@ -85,22 +85,41 @@ class TransformPass(Pass):
 
     def __call__(self, context):
         result = super().__call__(context)
-        c_ast.link_parents(context.unit)
-        _check_consistency(context.unit)
+        _relink_and_check(context.unit)
         return result
 
 
-def _check_consistency(unit):
-    """Cheap structural invariants after a transform."""
-    for node in c_ast.walk(unit):
-        for field in node._fields:
+def _relink_and_check(unit):
+    """Re-link parents and check cheap structural invariants after a
+    transform, in one pre-order traversal of the unit.  Every parent is
+    linked before an error is raised, and the error names the first
+    offending list field in ``c_ast.walk`` order."""
+    Node = c_ast.Node
+    error = None
+    stack = [(unit, unit.parent)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node, parent = pop()
+        node.parent = parent
+        bad_field = None
+        for field in reversed(node._fields):
             value = getattr(node, field, None)
+            if value is None:
+                continue
             if isinstance(value, list):
-                for item in value:
-                    if item is None:
-                        raise PassError(
-                            "None left inside list field %r of %s"
-                            % (field, type(node).__name__))
+                for item in reversed(value):
+                    if isinstance(item, Node):
+                        push((item, node))
+                    elif item is None:
+                        bad_field = field   # ends on the first field
+            elif isinstance(value, Node):
+                push((value, node))
+        if bad_field is not None and error is None:
+            error = "None left inside list field %r of %s" \
+                % (bad_field, type(node).__name__)
+    if error is not None:
+        raise PassError(error)
     for func in unit.functions():
         if func.body is None or not isinstance(func.body, c_ast.Compound):
             raise PassError("function %r lost its body" % func.name)

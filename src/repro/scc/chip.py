@@ -16,7 +16,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_EVENTS
 from repro.scc.cache import Cache
 from repro.scc.dram import MemoryController
-from repro.scc.lut import WINDOW_BYTES, LookupTable
+from repro.scc.lut import WINDOW_BYTES, CoreLUTs
 from repro.scc.memmap import (
     MPB_BASE,
     PRIVATE_BASE,
@@ -58,8 +58,7 @@ class SCCChip:
         self.controllers = [MemoryController(i, config)
                             for i in range(config.num_memory_controllers)]
         self.power = PowerModel(config)
-        self.luts = [LookupTable(i, config, self.mesh)
-                     for i in range(config.num_cores)]
+        self.luts = CoreLUTs(config, self.mesh)
         self._reconfigured_cores = set()
         self._lock = threading.Lock()
         # Epoch for the interpreter's per-site memory-access inline
@@ -68,6 +67,10 @@ class SCCChip:
         # (window, cost-function) entry.  Increments are GIL-atomic.
         self.mem_epoch = 0
         self._site_cache_holders = []   # weakrefs to Interpreters
+        # core -> [fast-path entry], shared by every site and
+        # interpreter on the core; replaced (never cleared in place) on
+        # every epoch bump — see cached_fastpath
+        self._fastpaths = {}
         self.address_space.on_layout_change(self._bump_mem_epoch)
         # observability: every component's counters surface through one
         # registry; event tracing is a no-op until a run attaches a
@@ -324,8 +327,10 @@ class SCCChip:
 
         Push-style invalidation: entries carry no epoch stamp and pay
         no versioning check per access; instead each registered holder's
-        cache dict is cleared here, on the (rare) LUT/layout change."""
+        cache dict is cleared here, on the (rare) LUT/layout change,
+        and the chip's own fast-path memo is dropped with them."""
         self.mem_epoch += 1
+        self._fastpaths = {}
         holders = self._site_cache_holders
         if holders:
             live = []
@@ -341,6 +346,26 @@ class SCCChip:
         on ``mem_epoch`` bumps."""
         import weakref
         self._site_cache_holders.append(weakref.ref(interp))
+
+    def cached_fastpath(self, core, addr):
+        """The :meth:`access_fastpath` entry covering ``addr`` for
+        ``core``, built at most once per core, address window and
+        ``mem_epoch``.  Entries depend only on the core and the window,
+        so every site and interpreter on a core can share one.
+
+        An entry built while the epoch moves is handed out (the caller
+        clears its site cache on the same bump) but lands in the memo
+        the bump discarded, so the live memo never holds a stale one."""
+        memo = self._fastpaths
+        entries = memo.get(core)
+        if entries is None:
+            entries = memo.setdefault(core, [])
+        for entry in entries:
+            if entry[0] <= addr < entry[1]:
+                return entry
+        entry = self.access_fastpath(core, addr)
+        entries.append(entry)
+        return entry
 
     def access_cost(self, core, addr, kind="read", size=4, ts=0):
         """Cycle cost of one memory access from ``core``.  ``ts`` is

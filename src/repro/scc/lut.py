@@ -16,6 +16,8 @@ uncacheable DRAM, which the chip model then honours in its timing
 (``SCCChip.configure_window``).
 """
 
+import threading
+
 from repro.scc.memmap import (
     MPB_BASE,
     PRIVATE_BASE,
@@ -124,3 +126,36 @@ class LookupTable:
             index, SegmentKind.PRIVATE, controller, cacheable=True,
             system_base=entry.system_base if entry
             else addr - addr % WINDOW_BYTES)
+
+
+class CoreLUTs:
+    """Every core's :class:`LookupTable`, indexed by core id, each
+    built the first time it is read.
+
+    Only reconfigured cores consult their table when pricing an access,
+    so most chips never build one; a table built late holds exactly the
+    default image an eager one would."""
+
+    def __init__(self, config, mesh):
+        self.config = config
+        self.mesh = mesh
+        self._tables = [None] * config.num_cores
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._tables)
+
+    def __getitem__(self, core):
+        table = self._tables[core]
+        if table is None:
+            core = range(len(self._tables))[core]
+            with self._lock:
+                table = self._tables[core]
+                if table is None:
+                    table = LookupTable(core, self.config, self.mesh)
+                    self._tables[core] = table
+        return table
+
+    def __iter__(self):
+        for core in range(len(self._tables)):
+            yield self[core]

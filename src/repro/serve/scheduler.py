@@ -58,6 +58,16 @@ DEFAULT_RETRY_CAP = 1.0
 DEFAULT_PREEMPT_GRACE = 30.0
 
 
+def _poll_outcome(conn):
+    """The worker's message waiting on ``conn``, or None."""
+    try:
+        if conn.poll(0):
+            return conn.recv()
+    except (EOFError, OSError):
+        pass
+    return None
+
+
 class _WorkerHandle:
     __slots__ = ("job", "proc", "conn", "ctl", "started",
                  "deadline_at", "preempt_requested_at",
@@ -275,16 +285,17 @@ class Scheduler:
 
     def _reap(self, now):
         for job_id, handle in list(self.running.items()):
-            message = None
-            try:
-                if handle.conn.poll(0):
-                    message = handle.conn.recv()
-            except (EOFError, OSError):
-                message = None
+            message = _poll_outcome(handle.conn)
+            alive = message is not None or handle.proc.is_alive()
+            if not alive:
+                # the worker may have sent its outcome and exited
+                # between the poll and is_alive(): drain the pipe once
+                # more before calling it dead
+                message = _poll_outcome(handle.conn)
             if message is not None:
                 self._finish_worker(handle)
                 self._handle_message(handle, message, now)
-            elif not handle.proc.is_alive():
+            elif not alive:
                 self._finish_worker(handle)
                 if handle.preempt_requested_at is not None \
                         and handle.job.preemptible:

@@ -37,7 +37,6 @@ lets the exception unwind into the caller's loop), and calls through a
 
 import itertools
 import threading
-import weakref
 
 from repro.cfront import c_ast, ctypes
 from repro.sim.interpreter import (
@@ -126,7 +125,7 @@ class CompiledFunction:
 class CompiledUnit:
     """All compiled functions of one translation unit."""
 
-    __slots__ = ("functions", "global_types", "__weakref__")
+    __slots__ = ("functions", "global_types")
 
     def __init__(self):
         self.functions = {}
@@ -138,18 +137,19 @@ class CompiledUnit:
                 if cf.body is None}
 
 
-_UNIT_CACHE = weakref.WeakKeyDictionary()
-_UNIT_CACHE_LOCK = threading.Lock()
+_COMPILE_LOCK = threading.Lock()
 
 
 def compile_unit(unit):
-    """Compile (and cache, keyed on the unit object) a translation
-    unit.  Thread-safe: ``run_rcce`` cores share one compiled unit."""
-    with _UNIT_CACHE_LOCK:
-        cu = _UNIT_CACHE.get(unit)
+    """Compile a translation unit, caching the result on the unit
+    itself so it lives exactly as long as the unit.  (A cache keyed on
+    the unit elsewhere would pin it: the compiled functions reach the
+    unit through their AST ``parent`` links.)  Thread-safe:
+    ``run_rcce`` cores share one compiled unit."""
+    with _COMPILE_LOCK:
+        cu = unit.compiled
         if cu is None:
-            cu = _compile_unit(unit)
-            _UNIT_CACHE[unit] = cu
+            cu = unit.compiled = _compile_unit(unit)
         return cu
 
 

@@ -106,7 +106,7 @@ class Interpreter:
         self._mem_get = memory.get
         self._mem_set = memory.put
         self._global_addr = {}
-        self._site_cache = {}   # site id -> (epoch, lo, hi, cost fn)
+        self._site_cache = {}   # site id -> (lo, hi, cost fn)
         self.site_fills = 0     # inline-cache misses (diagnostics)
         # fault injection (repro.faults): the chip-attached injector,
         # or None — in which case the read/tick hooks are dead branches
@@ -313,7 +313,7 @@ class Interpreter:
         the chip.  Entries carry no version stamp — the chip clears the
         whole ``_site_cache`` dict when address translation changes
         (see ``SCCChip._bump_mem_epoch``), so presence means valid."""
-        entry = self.chip.access_fastpath(self.core_id, addr)
+        entry = self.chip.cached_fastpath(self.core_id, addr)
         self._site_cache[site] = entry
         self.site_fills += 1
         return entry

@@ -279,7 +279,9 @@ class IntervalEngine:
 
     def _transfer(self, func, block, env):
         """Interpret one block; returns ``[(successor, env-or-None)]``
-        with branch refinement applied per edge."""
+        with branch refinement applied per edge.  ``env`` must be a
+        private copy: it is updated in place and handed to the last
+        successor."""
         self._current = func
         branch_cond = None
         for stmt in block.statements:
@@ -288,16 +290,16 @@ class IntervalEngine:
                 self._eval(branch_cond, env)
             else:
                 self._exec(stmt, env)
+        refinable = branch_cond is not None and \
+            not _has_side_effects(branch_cond)
         results = []
-        for succ, label in block.successors:
-            if branch_cond is not None and \
-                    label in ("true", "false", "back") and \
-                    not _has_side_effects(branch_cond):
+        last = len(block.successors) - 1
+        for position, (succ, label) in enumerate(block.successors):
+            edge_env = env if position == last else env.copy()
+            if refinable and label in ("true", "false", "back"):
                 sense = label != "false"
-                results.append((succ, self._refine(env.copy(),
-                                                   branch_cond, sense)))
-            else:
-                results.append((succ, env.copy()))
+                edge_env = self._refine(edge_env, branch_cond, sense)
+            results.append((succ, edge_env))
         return results
 
     # -- statements --------------------------------------------------------

@@ -58,3 +58,51 @@ def test_cache_is_bounded():
         parse_program("int main(void) { return %d; }" % index)
     info = parse_cache_info()
     assert info["entries"] <= info["max"]
+
+
+def _nodes(unit):
+    from repro.cfront import c_ast
+    return list(c_ast.walk(unit))
+
+
+def test_clones_are_isolated_from_master_and_each_other():
+    master = parse_program(SOURCE, share=True)
+    first = parse_program(SOURCE)
+    second = parse_program(SOURCE)
+    master_ids = {id(node) for node in _nodes(master)}
+    first_ids = {id(node) for node in _nodes(first)}
+    second_ids = {id(node) for node in _nodes(second)}
+    assert not master_ids & first_ids
+    assert not master_ids & second_ids
+    assert not first_ids & second_ids
+    # every clone is linked within itself
+    for node in _nodes(first)[1:]:
+        assert id(node.parent) in first_ids
+    first.decls[0].name = "mutated"
+    first.functions()[0].body.items.clear()
+    assert master.decls[0].name == "x"
+    assert master.functions()[0].body.items
+    third = parse_program(SOURCE)
+    assert third.decls[0].name == "x"
+    assert third.functions()[0].body.items
+
+
+def test_clones_share_immutable_types_and_coords():
+    master = parse_program(SOURCE, share=True)
+    clone = parse_program(SOURCE)
+    for original, copied in zip(_nodes(master), _nodes(clone)):
+        assert type(original) is type(copied)
+        assert copied.coord is original.coord
+        if hasattr(original, "ctype"):
+            assert copied.ctype is original.ctype
+    assert clone.decls[0].ctype is master.decls[0].ctype
+
+
+def test_clones_leave_out_the_compiled_form():
+    from repro.sim.compile import compile_unit
+    master = parse_program(SOURCE, share=True)
+    compiled = compile_unit(master)
+    clone = parse_program(SOURCE)
+    assert clone.compiled is None
+    assert compile_unit(clone) is not compiled
+    assert master.compiled is compiled

@@ -96,6 +96,27 @@ class TestTransformConsistency:
         with pytest.raises(PassError):
             Driver([Corrupt()]).run(parse("int x;"))
 
+    def test_none_reported_in_walk_order_after_full_relink(self):
+        class CorruptTwice(TransformPass):
+            name = "corrupt-twice"
+
+            def run(self, context):
+                first, second = context.unit.functions()
+                second.body.items.append(None)
+                call = first.body.items[0].expr
+                call.args.append(None)
+                call.args.append(c_ast.Id("late"))
+
+        unit = parse("void g(int a, int b);\n"
+                     "void f(void) { g(1, 2); }\n"
+                     "void h(void) { }")
+        context = Driver([CorruptTwice()], strict=False).run(unit)
+        [diagnostic] = context.diagnostics
+        assert "None left inside list field 'args' of FuncCall" in \
+            diagnostic.message
+        call = unit.functions()[0].body.items[0].expr
+        assert call.args[-1].parent is call
+
     def test_transform_detects_lost_body(self):
         class LoseBody(TransformPass):
             name = "lose-body"

@@ -123,3 +123,151 @@ class TestReconfiguration:
         chip.access_cost(0, segment.base)
         assert chip.access_cost(0, segment.base) == \
             chip.config.l1_hit_cycles
+
+
+def _price_everything(chip):
+    """A fixed access mix over every segment kind, before and after
+    remapping windows, as (cost list, rendered chip report)."""
+    from repro.scc.report import chip_report, render_report
+    private = chip.address_space.alloc_private(0, 256)
+    other = chip.address_space.alloc_private(3, 256)
+    shared = chip.address_space.alloc_shared(256)
+    costs = []
+
+    def mix():
+        for core, addr in ((0, private.base), (3, other.base),
+                           (0, shared.base), (1, shared.base + 64),
+                           (2, MPB_BASE + 32)):
+            for kind in ("read", "write", "read"):
+                costs.append(chip.access_cost(core, addr, kind))
+            lo, hi, fn = chip.cached_fastpath(core, addr)
+            costs.append((lo, hi, fn(addr, "read", 0)))
+
+    mix()
+    chip.configure_window(0, private.base, shared=True)
+    chip.configure_window(3, SHARED_BASE, shared=False)
+    mix()
+    chip.configure_window(0, private.base, shared=False)
+    mix()
+    return costs, render_report(chip_report(chip))
+
+
+class TestLazyTables:
+    def test_no_table_built_until_read(self, chip):
+        assert chip.luts._tables == [None] * chip.config.num_cores
+        chip.access_cost(0, chip.address_space.alloc_private(0, 4).base)
+        assert chip.luts._tables == [None] * chip.config.num_cores
+        chip.configure_window(2, PRIVATE_BASE, shared=True)
+        assert [core for core, table in enumerate(chip.luts._tables)
+                if table is not None] == [2]
+
+    def test_late_table_equals_eager_default_image(self):
+        config = SCCConfig()
+        mesh = Mesh(config)
+        lazy = SCCChip(config).luts
+        for core in (0, 17, 47, -1):
+            eager = LookupTable(core % config.num_cores, config, mesh)
+            late = lazy[core]
+            assert late.core_id == eager.core_id
+            assert sorted(late.entries) == sorted(eager.entries)
+            for index, entry in eager.entries.items():
+                assert repr(late.entries[index]) == repr(entry)
+        assert len(lazy) == config.num_cores
+        with pytest.raises(IndexError):
+            lazy[config.num_cores]
+
+    def test_lazy_chip_prices_and_reports_like_eager_chip(self):
+        eager = SCCChip(SCCConfig())
+        assert len(list(eager.luts)) == eager.config.num_cores
+        lazy = SCCChip(SCCConfig())
+        assert _price_everything(lazy) == _price_everything(eager)
+
+
+class TestFastPathMemo:
+    def test_one_entry_per_core_and_window(self, chip):
+        segment = chip.address_space.alloc_private(0, 256)
+        entry = chip.cached_fastpath(0, segment.base)
+        assert chip.cached_fastpath(0, segment.base + 128) is entry
+        assert chip.cached_fastpath(1, segment.base) is not entry
+        shared = chip.address_space.alloc_shared(64)
+        assert chip.cached_fastpath(0, shared.base) is not entry
+
+    def test_epoch_bump_drops_the_memo(self, chip):
+        segment = chip.address_space.alloc_private(0, 256)
+        entry = chip.cached_fastpath(0, segment.base)
+        chip.configure_window(0, segment.base, shared=True)
+        remapped = chip.cached_fastpath(0, segment.base)
+        assert remapped is not entry
+        # the rebuilt entry honours the LUT: uncached shared pricing
+        assert remapped[2](segment.base, "read", 0) == \
+            remapped[2](segment.base, "read", 0) > \
+            chip.config.l2_hit_cycles
+        chip.address_space.alloc_split(4096, 1024, label="t")
+        assert chip.cached_fastpath(0, segment.base) is not remapped
+
+    def test_entry_built_across_a_bump_is_not_memoized(self, chip):
+        segment = chip.address_space.alloc_private(0, 256)
+        build = chip.access_fastpath
+
+        def racing_build(core, addr):
+            entry = build(core, addr)
+            chip._bump_mem_epoch()   # another core remaps meanwhile
+            return entry
+
+        chip.access_fastpath = racing_build
+        stale = chip.cached_fastpath(0, segment.base)
+        chip.access_fastpath = build
+        assert chip.cached_fastpath(0, segment.base) is not stale
+
+    def test_concurrent_fills_and_remaps_leave_no_stale_entry(self,
+                                                              chip):
+        """Core threads fill the memo while another thread remaps a
+        window; after every remap the live memo may hold only entries
+        built against the new LUT image."""
+        import sys
+        import threading
+        import time
+        segment = chip.address_space.alloc_private(0, 256)
+        addr = segment.base
+        stop = threading.Event()
+        errors = []
+
+        def fill():
+            try:
+                while not stop.is_set():
+                    chip.cached_fastpath(0, addr)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        def stale_entries(shared):
+            stale = 0
+            for lo, hi, fn in list(chip._fastpaths.get(0, ())):
+                if lo <= addr < hi:
+                    fn(addr, "read", 0)
+                    # the second read hits in L1 only through a
+                    # private-cacheable entry
+                    hit = fn(addr, "read", 0) == \
+                        chip.config.l1_hit_cycles
+                    stale += hit == shared
+            return stale
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=fill) for _ in range(4)]
+        stale = 0
+        try:
+            for thread in threads:
+                thread.start()
+            for flip in range(1000):
+                shared = flip % 2 == 0
+                chip.configure_window(0, addr, shared=shared)
+                time.sleep(0.0001)
+                stale += stale_entries(shared)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(thread.is_alive() for thread in threads)
+        assert stale == 0

@@ -89,6 +89,54 @@ class TestLifecycle:
             sched.submit(pi_source, spec=JobSpec(**SMALL))
 
 
+class _SendsThenExits:
+    """A worker process stand-in that sends its outcome and exits
+    exactly between the scheduler's pipe poll and its is_alive()."""
+
+    exitcode = 0
+
+    def __init__(self, send_conn, message):
+        self._send_conn = send_conn
+        self._message = message
+
+    def is_alive(self):
+        if self._send_conn is not None:
+            self._send_conn.send(self._message)
+            self._send_conn.close()
+            self._send_conn = None
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+    def terminate(self):
+        pass
+
+
+class TestReap:
+    def test_outcome_sent_just_before_exit_is_not_a_death(self,
+                                                           tmp_path):
+        import multiprocessing
+
+        from repro.serve.scheduler import _WorkerHandle
+        sched = _scheduler(tmp_path)
+        job = Job("raced", "int main() { return 0; }",
+                  JobSpec(mode="pthread"))
+        job.attempts = 1
+        sched.jobs[job.job_id] = job
+        recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
+        _, ctl_send = multiprocessing.Pipe(duplex=False)
+        outcome = {"cycles": 7, "stdout": "", "wall_seconds": 0.0}
+        sched.running[job.job_id] = _WorkerHandle(
+            job, _SendsThenExits(send_conn, ("ok", outcome)),
+            recv_conn, ctl_send, 0.0, None, None)
+        sched._reap(0.0)
+        assert not sched.running
+        assert job.state == "done"
+        assert job.result["cycles"] == 7
+        assert job.attempts == 1
+
+
 class TestChaos:
     def test_job_kill_is_retried_clean(self, tmp_path, pi_source):
         sched = _scheduler(tmp_path, pool_size=1,

@@ -10,6 +10,9 @@ plus hand-written kernels for each language feature, plus
 hypothesis-generated arithmetic/pointer kernels.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +242,15 @@ def test_compile_unit_cached_per_unit():
     assert compile_unit(unit) is compile_unit(unit)
 
 
+def test_compiled_unit_dies_with_its_unit():
+    unit = parse_program("int main(void) { return 5; }")
+    compile_unit(unit)
+    unit_ref = weakref.ref(unit)
+    del unit
+    gc.collect()
+    assert unit_ref() is None
+
+
 def test_goto_raises_identically_in_both_engines():
     """goto is unsupported at *runtime*: it compiles to a closure that
     raises the tree-walker's exact error when (and only when) executed."""
@@ -317,6 +329,27 @@ def test_site_cache_filled_and_invalidated():
     chip._bump_mem_epoch()
     assert not interp._site_cache
     assert interp.site_fills == fills_before
+
+
+def test_interpreters_on_one_core_share_fastpath_entries():
+    unit = parse_program("""
+        int counter = 0;
+        int main(void) {
+            int i;
+            for (i = 0; i < 5; i++) counter += i;
+            return counter;
+        }
+    """)
+    chip = _tiny_chip()
+    first = Interpreter(unit, chip, 0, Memory())
+    first.run_main()
+    second = Interpreter(unit, chip, 0, Memory())
+    second.run_main()
+    entries = {id(entry) for interp in (first, second)
+               for entry in interp._site_cache.values()}
+    assert second.site_fills > 0
+    assert len(entries) < first.site_fills + second.site_fills
+    assert len(entries) == len(chip._fastpaths[0])
 
 
 def test_configure_window_invalidates_site_caches():

@@ -6,9 +6,11 @@ tests generate small integer kernels — straight-line assignment
 sequences and bounded accumulation loops — run them concretely in
 Python (the engine models mathematical integers, so Python arithmetic
 *is* the reference semantics), and require every final variable value
-to be contained in the engine's exit interval."""
+to be contained in the engine's exit interval.  Kernels whose concrete
+run leaves int32 are discarded: the engine rightly reports those as
+overflows (checked separately below)."""
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.static import analyze_source
@@ -34,8 +36,19 @@ def build_straight_line(inits, statements):
         % "\n    ".join(lines)
 
 
+INT_MIN, INT_MAX = -2 ** 31, 2 ** 31 - 1
+
+# a real overflow: a = 2176782336 on the last line
+OVERFLOWING_KERNEL = ((18, 0, 0), [("a", "a", "+", "a"),
+                                   ("c", "a", "*", "a"),
+                                   ("c", "a", "*", "c"),
+                                   ("a", "c", "*", "c")])
+
+
 def run_concrete(inits, statements):
+    """Final values, and whether every intermediate fits in int."""
     env = dict(zip(VARS, inits))
+    fits = True
     for target, left, operator, right in statements:
         rhs = env[right] if isinstance(right, str) else right
         lhs = env[left]
@@ -45,7 +58,8 @@ def run_concrete(inits, statements):
             env[target] = lhs - rhs
         else:
             env[target] = lhs * rhs
-    return env
+        fits = fits and INT_MIN <= env[target] <= INT_MAX
+    return env, fits
 
 
 def exit_intervals(source):
@@ -57,15 +71,27 @@ def exit_intervals(source):
 @settings(max_examples=40, deadline=None)
 @given(inits=st.tuples(const, const, const),
        statements=st.lists(assignment, min_size=1, max_size=6))
+@example(*OVERFLOWING_KERNEL)
 def test_straight_line_kernels_are_contained(inits, statements):
     source = build_straight_line(inits, statements)
-    concrete = run_concrete(inits, statements)
+    concrete, fits = run_concrete(inits, statements)
+    assume(fits)
     boxes = exit_intervals(source)
     for name in VARS:
         assert name in boxes, source
         assert boxes[name].contains(concrete[name]), \
             "%s = %d outside %r in\n%s" % (name, concrete[name],
                                            boxes[name], source)
+
+
+def test_overflowing_kernel_is_reported():
+    inits, statements = OVERFLOWING_KERNEL
+    _, fits = run_concrete(inits, statements)
+    assert not fits
+    report = analyze_source(build_straight_line(inits, statements))
+    findings = report.rte_findings()
+    assert findings
+    assert {finding.check for finding in findings} == {"overflow"}
 
 
 @settings(max_examples=40, deadline=None)
