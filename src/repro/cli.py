@@ -43,9 +43,11 @@ from repro.rcce.comm import CommDeadlockError
 from repro.recovery import RecoveryOptions, SnapshotError
 from repro.sim.interpreter import InterpreterError
 from repro.sim.runner import (
+    is_jobs1_fallback,
     run_pthread_single_core,
     run_rcce,
     run_rcce_supervised,
+    sharding_blockers,
 )
 from repro.sim.watchdog import (
     SimulationTimeout,
@@ -572,20 +574,18 @@ def cmd_run(args, out, err):
                   % ("--faults" if faults else "checkpoint/restore"))
         return EXIT_USAGE
     if jobs > 1 and getattr(args, "strict", False):
-        blocker = None
-        if faults:
-            blocker = "--faults"
-        elif recover_on or want_checkpoint or restore is not None:
-            blocker = "--recover/--checkpoint/--restore"
-        elif race_on:
-            blocker = "--race"
-        elif getattr(args, "trace", None):
-            blocker = "--trace"
-        if blocker is not None:
-            err.write("repro: --jobs %d cannot honour %s: the "
-                      "feature needs the shared-world thread backend "
-                      "(verified cycle-identical); rerun without %s "
-                      "or drop --strict\n" % (jobs, blocker, blocker))
+        blockers = sharding_blockers(
+            faults=bool(faults),
+            recovery=recover_on or want_checkpoint or restore is not None,
+            race=race_on, tracing=bool(getattr(args, "trace", None)))
+        if blockers:
+            flags = " and ".join(flag for _, flag in blockers)
+            err.write("repro: --jobs %d cannot honour %s: %s cannot be "
+                      "sharded across worker processes (the run would "
+                      "fall back to jobs=1); rerun without %s or drop "
+                      "--strict\n"
+                      % (jobs, flags, " and ".join(
+                          reason for reason, _ in blockers), flags))
             return EXIT_USAGE
     recovery = None
     if recover_on or want_checkpoint or restore is not None:
@@ -599,9 +599,9 @@ def cmd_run(args, out, err):
     watchdog = None
     if args.mode in ("rcce", "compare") and \
             not getattr(args, "no_watchdog", False):
-        # the watchdog no longer forces the thread backend: the
-        # parallel coordinator maps its lock/barrier timeouts onto
-        # the parked-rank and wall-clock supervision bounds
+        # the watchdog does not block sharding: the parallel
+        # coordinator maps its lock/barrier timeouts onto the
+        # parked-rank and wall-clock supervision bounds
         if getattr(args, "watchdog_timeout", None) is not None:
             watchdog = Watchdog(lock_timeout=args.watchdog_timeout,
                                 barrier_timeout=args.watchdog_timeout)
@@ -708,15 +708,15 @@ def cmd_run(args, out, err):
         for diagnostic in rcce.diagnostics:
             err.write(diagnostic.format() + "\n")
         if getattr(args, "strict", False) and any(
-                "degraded to the thread backend" in d.message
-                for d in rcce.diagnostics if d.severity == "warning"):
+                is_jobs1_fallback(d) for d in rcce.diagnostics):
+            # the pre-run check above refused every other reason, so
             # the process backend's restart budget ran out mid-run;
-            # the graceful thread-backend rerun succeeded, but under
-            # --strict a silent backend swap is a usage failure
-            err.write("repro: --strict: --jobs %d degraded to the "
-                      "thread backend after exhausting its shard "
-                      "restart budget; raise --shard-restarts or "
-                      "drop --strict\n" % jobs)
+            # the jobs=1 re-run succeeded, but under --strict a silent
+            # fallback is a usage failure
+            err.write("repro: --strict: --jobs %d fell back to jobs=1 "
+                      "after exhausting its shard restart budget; "
+                      "raise --shard-restarts or drop --strict\n"
+                      % jobs)
             return EXIT_USAGE
         if rcce.race is not None:
             race_reports["rcce"] = rcce.race

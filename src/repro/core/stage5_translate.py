@@ -26,6 +26,11 @@ from repro.core.stage4_partition import MemoryBank
 
 CORE_ID_VAR = "myID"
 
+# pthread condition-variable calls Stage 5 cannot lower (init/destroy
+# are simply removed with the other pthread bookkeeping calls)
+_CONDVAR_CALLS = ("pthread_cond_wait", "pthread_cond_timedwait",
+                 "pthread_cond_signal", "pthread_cond_broadcast")
+
 _LOOP_TYPES = (c_ast.For, c_ast.While, c_ast.DoWhile)
 
 
@@ -351,7 +356,9 @@ class MutexConversion(TransformPass):
     Every distinct mutex variable is assigned (in order of first use)
     the test-and-set register of a core; ``pthread_mutex_lock(&m)``
     becomes ``RCCE_acquire_lock(k)`` and unlock ``RCCE_release_lock(k)``.
-    ``pthread_barrier_wait`` maps to ``RCCE_barrier``.
+    ``pthread_barrier_wait`` maps to ``RCCE_barrier``.  Condition
+    variable waits and signals have no lowering: each one is an error
+    diagnostic naming the call and its line.
     """
 
     name = "stage5-mutex-conversion"
@@ -372,6 +379,13 @@ class MutexConversion(TransformPass):
             elif callee == "pthread_barrier_wait":
                 node.func = c_ast.Id("RCCE_barrier")
                 node.args = [c_ast.UnaryOp("&", c_ast.Id("RCCE_COMM_WORLD"))]
+            elif callee in _CONDVAR_CALLS:
+                context.diagnose(
+                    self.name, "error",
+                    "%s() has no RCCE translation: condition variables "
+                    "are not lowered onto the SCC, and the call left in "
+                    "the RCCE program would wait forever" % callee,
+                    getattr(node, "coord", None))
         return dict(self.lock_ids)
 
     def _mutex_name(self, arg):

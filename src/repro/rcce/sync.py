@@ -120,111 +120,6 @@ class ClockBarrier:
         self._phase2.abort()
 
 
-class SkewBarrier:
-    """Graphite-style lax clock synchronization bookkeeping.
-
-    The parallel backend (``repro.sim.parallel``) lets each shard of
-    simulated cores run ahead under its own clock, reconciling at
-    **quantum** boundaries (every ``quantum`` simulated cycles) and —
-    early — at every true sync point (:class:`ClockBarrier` rounds,
-    test-and-set registers, MPB flags, send/recv rendezvous).  Because
-    every cross-shard value and every cross-shard clock comparison in
-    this simulator already flows through those sync primitives, the
-    quantum checkpoint is pure *bookkeeping*: shards publish their
-    clocks here (never blocking — a shard parked inside ``recv`` must
-    not be waited on), and the recorded skew shows how far the lax
-    clocks drifted between reconciliations.  Results are byte-identical
-    to the sequential engine by construction, for any quantum.
-    """
-
-    DEFAULT_QUANTUM = 50_000  # simulated cycles between checkpoints
-
-    def __init__(self, num_shards, quantum=DEFAULT_QUANTUM):
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if quantum < 1:
-            raise ValueError("quantum must be >= 1 cycle")
-        self.num_shards = num_shards
-        self.quantum = quantum
-        self._lock = threading.Lock()
-        self._clocks = {}              # shard -> last published clock
-        self.quantum_reconciliations = [0] * num_shards
-        self.sync_reconciliations = [0] * num_shards
-        self.max_skew = 0              # widest clock spread observed
-        self._unbind = None
-
-    def _publish(self, shard, clock):
-        self._clocks[shard] = clock
-        if len(self._clocks) > 1:
-            spread = max(self._clocks.values()) - min(
-                self._clocks.values())
-            if spread > self.max_skew:
-                self.max_skew = spread
-
-    def note_quantum(self, shard, clock):
-        """A shard crossed a quantum boundary: publish its clock and
-        return the next quantum deadline.  Never blocks."""
-        with self._lock:
-            self.quantum_reconciliations[shard] += 1
-            self._publish(shard, clock)
-        return clock + self.quantum
-
-    def note_sync(self, shard, clock=None):
-        """A shard reached a true sync point (barrier, lock, flag,
-        send/recv): an early reconciliation.  ``clock`` is optional —
-        some sync ops (lock acquire/release) carry no clock."""
-        with self._lock:
-            self.sync_reconciliations[shard] += 1
-            if clock is not None:
-                self._publish(shard, clock)
-
-    def reconciliations(self, shard):
-        return (self.quantum_reconciliations[shard]
-                + self.sync_reconciliations[shard])
-
-    def total_reconciliations(self):
-        return (sum(self.quantum_reconciliations)
-                + sum(self.sync_reconciliations))
-
-    def bind(self, barrier, shard_of_rank):
-        """Chain onto ``barrier``'s ``on_round`` hook so every
-        :class:`ClockBarrier` round records per-shard sync
-        reconciliations and the published-clock skew.  Preserves any
-        hook already installed (checkpointing chains the same way)."""
-        previous = barrier.on_round
-
-        def on_round(rounds):
-            clocks = barrier.published_clocks()
-            with self._lock:
-                for rank, clock in clocks.items():
-                    shard = shard_of_rank(rank)
-                    self.sync_reconciliations[shard] += 1
-                    self._publish(shard, clock)
-            if previous is not None:
-                previous(rounds)
-
-        barrier.on_round = on_round
-
-        def unbind():
-            if barrier.on_round is on_round:
-                barrier.on_round = previous
-
-        self._unbind = unbind
-        return unbind
-
-    def merge(self, other):
-        """Fold a worker replica's counters into this (coordinator)
-        instance — strictly additive, plus the skew max."""
-        with self._lock:
-            for shard in range(self.num_shards):
-                self.quantum_reconciliations[shard] += \
-                    other.quantum_reconciliations[shard]
-                self.sync_reconciliations[shard] += \
-                    other.sync_reconciliations[shard]
-            if other.max_skew > self.max_skew:
-                self.max_skew = other.max_skew
-
-
 class TestAndSetRegisters:
     """One atomic test-and-set register per core.
 

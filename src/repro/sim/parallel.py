@@ -41,8 +41,9 @@ ranges per worker, applied in order).  For well-synchronized programs
 — the only programs whose sequential result is deterministic in the
 first place — this release/acquire shipping delivers exactly the
 values the sequential run would read.  Racy programs should run under
-the race detector, which (like every other incompatible feature)
-forces a loud downgrade to the shared-world thread backend.
+the race detector, which (like every other feature that needs one
+shared simulated world) makes ``run_rcce`` run the program at jobs=1,
+loudly; see :func:`repro.sim.runner.sharding_blockers`.
 
 **Fault tolerance.**  The coordinator supervises its workers: every
 control-pipe message is a heartbeat, worker process exit (EOF without
@@ -61,7 +62,8 @@ engine.  Deterministic host-level chaos (``worker_kill`` /
 ``worker_stall`` / ``ipc_delay``) comes from
 :class:`repro.faults.HostFaultPlan`; an exhausted restart budget
 raises :class:`~repro.sim.watchdog.ShardRestartsExhaustedError`,
-which ``run_rcce`` converts into a graceful thread-backend downgrade.
+which ``run_rcce`` converts into a loud re-run from the beginning at
+jobs=1.
 """
 
 import multiprocessing
@@ -80,7 +82,6 @@ from repro.scc.chip import SCCChip
 from repro.scc.memmap import SHARED_BASE
 from repro.rcce.api import RCCEWorld
 from repro.rcce.comm import CommDeadlockError
-from repro.rcce.sync import SkewBarrier
 from repro.recovery.checkpoint import ShardCheckpoint
 from repro.recovery.supervisor import RecoveryReport
 from repro.sim.interpreter import (
@@ -101,7 +102,7 @@ from repro.sim.watchdog import (
 )
 
 __all__ = ["ShardMemory", "ShardPlan", "ParallelRunError",
-           "parallel_collector", "parallel_stats",
+           "SkewBarrier", "parallel_collector", "parallel_stats",
            "run_rcce_parallel"]
 
 # Wall-clock bounds enforced by the coordinator (the coordinator IS
@@ -192,11 +193,76 @@ class ShardPlan:
                                                      self.jobs)
 
 
-def parallel_collector(skew, jobs, respawns=None):
-    """Build the ``sim.parallel`` metrics collector — shared by the
-    process backend and the thread backend so both report the same
-    sample shapes.  ``respawns`` (shard -> count) adds the process
-    backend's supervision counters."""
+class SkewBarrier:
+    """Graphite-style lax clock synchronization bookkeeping.
+
+    Each shard of simulated cores runs ahead under its own clock,
+    reconciling at **quantum** boundaries (every ``quantum`` simulated
+    cycles) and — early — at every true sync point (barrier rounds,
+    test-and-set registers, MPB flags, send/recv rendezvous).  Because
+    every cross-shard value and every cross-shard clock comparison in
+    this simulator already flows through those sync primitives, the
+    quantum checkpoint is pure *bookkeeping*: shards publish their
+    clocks here (never blocking — a shard parked inside ``recv`` must
+    not be waited on), and the recorded skew shows how far the lax
+    clocks drifted between reconciliations.  Results are byte-identical
+    to the sequential engine by construction, for any quantum.  The
+    process backend's coordinator is its only user.
+    """
+
+    DEFAULT_QUANTUM = 50_000  # simulated cycles between checkpoints
+
+    def __init__(self, num_shards, quantum=DEFAULT_QUANTUM):
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
+        if quantum < 1:
+            raise ValueError("quantum must be >= 1 cycle")
+        self.num_shards = num_shards
+        self.quantum = quantum
+        self._lock = threading.Lock()
+        self._clocks = {}              # shard -> last published clock
+        self.quantum_reconciliations = [0] * num_shards
+        self.sync_reconciliations = [0] * num_shards
+        self.max_skew = 0              # widest clock spread observed
+
+    def _publish(self, shard, clock):
+        self._clocks[shard] = clock
+        if len(self._clocks) > 1:
+            spread = max(self._clocks.values()) - min(
+                self._clocks.values())
+            if spread > self.max_skew:
+                self.max_skew = spread
+
+    def note_quantum(self, shard, clock):
+        """A shard crossed a quantum boundary: publish its clock and
+        return the next quantum deadline.  Never blocks."""
+        with self._lock:
+            self.quantum_reconciliations[shard] += 1
+            self._publish(shard, clock)
+        return clock + self.quantum
+
+    def note_sync(self, shard, clock=None):
+        """A shard reached a true sync point (barrier, lock, flag,
+        send/recv): an early reconciliation.  ``clock`` is optional —
+        some sync ops (lock acquire/release) carry no clock."""
+        with self._lock:
+            self.sync_reconciliations[shard] += 1
+            if clock is not None:
+                self._publish(shard, clock)
+
+    def reconciliations(self, shard):
+        return (self.quantum_reconciliations[shard]
+                + self.sync_reconciliations[shard])
+
+    def total_reconciliations(self):
+        return (sum(self.quantum_reconciliations)
+                + sum(self.sync_reconciliations))
+
+
+def parallel_collector(skew, jobs, respawns):
+    """Build the ``sim.parallel`` metrics collector: the lax-sync
+    gauges and, per shard, the reconciliation and respawn counters
+    (``respawns`` maps shard -> count)."""
 
     def collect():
         samples = [
@@ -214,18 +280,17 @@ def parallel_collector(skew, jobs, respawns=None):
                             skew.quantum_reconciliations[shard]))
             samples.append(("counter", "parallel_sync_reconciliations",
                             labels, skew.sync_reconciliations[shard]))
-            if respawns is not None:
-                samples.append(("counter", "parallel_shard_respawns",
-                                labels, respawns.get(shard, 0)))
+            samples.append(("counter", "parallel_shard_respawns",
+                            labels, respawns.get(shard, 0)))
         return samples
 
     return collect
 
 
-def parallel_stats(backend, skew, jobs, **extra):
-    """The ``stats["parallel"]`` block both backends report."""
+def parallel_stats(skew, jobs, **extra):
+    """The ``stats["parallel"]`` block of a sharded run."""
     stats = {
-        "backend": backend,
+        "backend": "process",
         "jobs": jobs,
         "quantum": skew.quantum,
         "reconciliations": skew.total_reconciliations(),
@@ -695,7 +760,7 @@ def _worker_main(shard, ranks, source, num_ues, core_map, config,
         try:
             signal.signal(signum, signal.SIG_DFL)
         except ValueError:
-            break  # not the main thread (thread-backend tests)
+            break  # not the main thread (run in-process by a caller)
     try:
         if engine == "compiled":
             from repro.sim.compile import warm_process_cache
@@ -1272,7 +1337,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
 
     ``source`` must be the program's *source text* (workers re-parse it
     through the shared sha256 memo); the caller (``run_rcce``) already
-    downgrades pre-parsed units to the thread backend.
+    runs pre-parsed units at jobs=1.
 
     Shard supervision: each worker is watched through its process
     sentinel (death) and its control-pipe heartbeat (hangs).  A dead
@@ -1280,7 +1345,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
     exponential backoff and replayed to its crash point from the
     coordinator's quantum-aligned :class:`ShardCheckpoint`; an
     exhausted budget raises :class:`ShardRestartsExhaustedError` (the
-    caller downgrades to the thread backend).  ``chaos`` takes a
+    caller re-runs the program at jobs=1).  ``chaos`` takes a
     :class:`~repro.faults.HostFaultPlan` or host-fault spec string;
     ``watchdog`` maps a sequential :class:`~repro.sim.watchdog.
     Watchdog`'s lock/barrier timeouts onto the coordinator's
@@ -1693,8 +1758,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
             "controllers": {index: (stats.reads, stats.writes)
                             for index, stats
                             in chip.controller_stats().items()},
-            "parallel": parallel_stats("process", skew, plan.jobs,
-                                       **extra),
+            "parallel": parallel_stats(skew, plan.jobs, **extra),
         },
         metrics=metrics,
         diagnostics=diagnostics)

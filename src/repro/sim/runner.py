@@ -37,7 +37,6 @@ from repro.faults import (
 from repro.obs.attribution import AttributionEngine
 from repro.race import RaceDetector
 from repro.rcce.api import RCCEWorld
-from repro.rcce.sync import SkewBarrier
 from repro.recovery import (
     CheckpointManager,
     ECCScrubber,
@@ -199,66 +198,68 @@ def _resolve_engine(engine, injector, checkpointed=False):
         "cycle-identical)" % " and ".join(reasons))
 
 
-def _resolve_parallel_backend(backend, jobs, program, injector,
-                              detector, attr, recovery, chip):
-    """Pick the parallel backend actually used for ``jobs > 1``;
-    returns ``(backend, warning)``.
+# Every jobs=1 fallback warning ends with this; ``is_jobs1_fallback``
+# recognises it so callers never match a copied message.
+_JOBS1_FALLBACK = "at jobs=1 (verified cycle-identical)"
 
-    The process backend shards chip replicas across worker processes,
-    so every feature that needs one shared live world — fault
-    injection, the race detector, cycle attribution, recovery,
-    event tracing — and pre-parsed program units (workers re-parse
-    source) force the shared-world *thread* backend instead.  Like
-    engine downgrades, this happens loudly: a warning
+
+def sharding_blockers(unit=False, faults=False, race=False,
+                      attribution=False, recovery=False, tracing=False):
+    """The reasons a ``jobs > 1`` run cannot shard, as ``(reason,
+    flag)`` pairs in a fixed order; ``flag`` is the CLI option that
+    turns the feature on (None when the CLI has none).
+
+    Worker processes simulate chip replicas and re-parse the source,
+    so a pre-parsed unit and every feature that needs one shared live
+    simulated world keep the run at jobs=1.  This is the one list:
+    ``run_rcce`` and the CLI's ``--strict`` pre-check both read it."""
+    return [(reason, flag) for wanted, reason, flag in (
+        (unit, "a pre-parsed program unit", None),
+        (faults, "fault injection", "--faults"),
+        (race, "race detection", "--race"),
+        (attribution, "cycle attribution", None),
+        (recovery, "recovery", "--recover/--checkpoint/--restore"),
+        (tracing, "event tracing", "--trace"),
+    ) if wanted]
+
+
+def _jobs1_fallback(message):
+    """The warning a ``jobs > 1`` run carries when it ran at jobs=1."""
+    return Diagnostic.warning("simulate", "%s %s"
+                              % (message, _JOBS1_FALLBACK))
+
+
+def is_jobs1_fallback(diagnostic):
+    """Whether ``diagnostic`` reports a ``jobs > 1`` run that ran at
+    jobs=1 instead of sharding."""
+    return diagnostic.severity == "warning" and \
+        diagnostic.message.endswith(_JOBS1_FALLBACK)
+
+
+def _resolve_jobs(jobs, program, injector, detector, attr, recovery,
+                  chip):
+    """Pick the jobs count actually used; returns ``(jobs, warning)``.
+
+    A ``jobs > 1`` run with any of the :func:`sharding_blockers` runs
+    the whole program at jobs=1 instead, which is the only fallback.
+    Like engine downgrades, this happens loudly: a warning
     :class:`Diagnostic` the CLI prints (and refuses under
-    ``--strict``), never silently.  The watchdog no longer forces a
-    downgrade: the parallel coordinator sees every sync wait, so it
+    ``--strict``), never silently.  The watchdog does not block
+    sharding: the parallel coordinator sees every sync wait, so it
     maps the watchdog's lock/barrier timeouts onto its own
     parked/wall-clock supervision."""
     if jobs <= 1:
-        return "none", None
-    if backend not in ("process", "thread"):
-        raise ValueError("unknown parallel backend %r" % (backend,))
-    if backend == "thread":
-        return "thread", None
-    reasons = []
-    if not isinstance(program, str):
-        reasons.append("a pre-parsed program unit")
-    if injector is not None:
-        reasons.append("fault injection")
-    if detector is not None:
-        reasons.append("race detection")
-    if attr is not None:
-        reasons.append("cycle attribution")
-    if recovery is not None:
-        reasons.append("recovery")
-    if chip.events.enabled:
-        reasons.append("event tracing")
+        return 1, None
+    reasons = sharding_blockers(
+        unit=not isinstance(program, str), faults=injector is not None,
+        race=detector is not None, attribution=attr is not None,
+        recovery=recovery is not None, tracing=chip.events.enabled)
     if not reasons:
-        return "process", None
-    return "thread", Diagnostic.warning(
-        "simulate",
-        "jobs=%d requested but %s requires the shared-world thread "
-        "backend; running with backend 'thread' (verified "
-        "cycle-identical)" % (jobs, " and ".join(reasons)))
-
-
-def _install_quantum_hook(interp, skew, shard, chip):
-    """Thread-backend lax sync: publish this interpreter's clock at
-    every quantum boundary.  Bookkeeping only — cycles are untouched,
-    so runs stay byte-identical for any quantum."""
-    events = chip.events
-
-    def hook(i, _skew=skew, _shard=shard, _events=events,
-             _pid=chip.trace_pid):
-        deadline = _skew.note_quantum(_shard, i.cycles)
-        if _events.enabled:
-            _events.instant(i.core_id, i.cycles, "quantum_sync",
-                            "parallel", {"shard": _shard}, pid=_pid)
-        return deadline
-
-    interp._quantum_hook = hook
-    interp._quantum_deadline = skew.quantum
+        return jobs, None
+    return 1, _jobs1_fallback(
+        "jobs=%d requested but %s cannot be sharded across worker "
+        "processes; running"
+        % (jobs, " and ".join(reason for reason, _ in reasons)))
 
 
 def _timeout_from(exc, interpreters, ranks=None):
@@ -377,18 +378,17 @@ class _CoreError:
 def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
              max_steps=200_000_000, engine="compiled", faults=None,
              watchdog=None, recovery=None, race=None, attribution=None,
-             jobs=1, quantum=None, parallel_backend="process",
-             chaos=None, shard_restarts=None, heartbeat_timeout=None):
+             jobs=1, quantum=None, chaos=None, shard_restarts=None,
+             heartbeat_timeout=None):
     """Run a translated RCCE program on ``num_ues`` simulated cores.
 
-    ``jobs > 1`` shards the simulated cores over host workers with
-    Graphite-style lax clock sync (see ``repro.sim.parallel``):
-    processes under the default ``parallel_backend="process"`` — or
-    host threads (``"thread"``), which every feature composes with and
-    which incompatible-feature runs downgrade to, loudly.  ``quantum``
-    is the lax-sync reconciliation interval in simulated cycles.
-    Cycles and outputs are byte-identical to ``jobs=1`` for any shard
-    count and any quantum.
+    ``jobs > 1`` shards the simulated cores over worker processes with
+    Graphite-style lax clock sync (see ``repro.sim.parallel``);
+    ``quantum`` is the lax-sync reconciliation interval in simulated
+    cycles.  Cycles and outputs are byte-identical to ``jobs=1`` for
+    any shard count and any quantum.  A run that cannot shard (see
+    :func:`sharding_blockers`) runs at jobs=1 with a warning
+    :class:`Diagnostic` naming the reason.
 
     ``chaos`` injects deterministic *host-level* faults into the
     process backend's workers (kill/stall/IPC delay; a
@@ -396,8 +396,8 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     clauses inside ``faults`` are routed there too.  ``shard_restarts``
     bounds per-shard respawns (default 2) and ``heartbeat_timeout``
     bounds a worker's silence before it is declared stalled.  When the
-    restart budget runs out the run degrades — loudly — to the thread
-    backend and re-runs from the beginning.
+    restart budget runs out the run re-runs from the beginning at
+    jobs=1, loudly, with ``result.recovery`` reporting every attempt.
     """
     unit = _as_unit(program)
     config = config or Table61Config()
@@ -427,17 +427,16 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     checkpointed = recovery is not None and recovery.checkpointed
     engine, downgrade = _resolve_engine(engine, injector, checkpointed)
     diagnostics = [downgrade] if downgrade is not None else []
-    backend, parallel_downgrade = _resolve_parallel_backend(
-        parallel_backend, jobs, program, injector, detector, attr,
-        recovery, chip)
-    if parallel_downgrade is not None:
-        diagnostics.append(parallel_downgrade)
+    jobs, fallback = _resolve_jobs(jobs, program, injector, detector,
+                                   attr, recovery, chip)
+    if fallback is not None:
+        diagnostics.append(fallback)
     degraded_report = None
-    if backend == "process":
+    if jobs > 1:
         # nothing below composes with sharded worker processes (that
-        # is exactly what _resolve_parallel_backend just checked), so
-        # hand the whole run to the process backend; the parse above
-        # already surfaced any front-end error in this process
+        # is exactly what _resolve_jobs just checked), so hand the
+        # whole run to the process backend; the parse above already
+        # surfaced any front-end error in this process
         from repro.sim.parallel import run_rcce_parallel
         try:
             return run_rcce_parallel(
@@ -448,32 +447,20 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                 shard_restarts=shard_restarts, chaos=chaos_plan,
                 watchdog=watchdog)
         except ShardRestartsExhaustedError as exc:
-            # the graceful rung below hard failure: finish the run on
-            # the shared-world thread backend, from the beginning
-            diagnostics.append(Diagnostic.warning(
-                "simulate",
-                "%s; degraded to the thread backend and re-ran from "
-                "the beginning (verified cycle-identical)" % exc))
+            # the graceful rung below hard failure: re-run the whole
+            # program at jobs=1, from the beginning
+            diagnostics.append(_jobs1_fallback(
+                "%s; re-ran from the beginning" % exc))
             degraded_report = exc.report
             if degraded_report is not None:
                 diagnostics.extend(degraded_report.diagnostics())
-            backend = "thread"
             chaos_plan = None  # host faults died with the workers
     if chaos_plan is not None:
         diagnostics.append(Diagnostic.warning(
             "simulate",
             "host chaos targets the process backend's workers; this "
-            "run uses %s, so the chaos plan is ignored"
-            % ("the thread backend" if backend == "thread"
-               else "no worker processes (jobs=1)")))
-    plan = skew = None
-    if backend == "thread":
-        from repro.sim.parallel import ShardPlan, parallel_collector
-        plan = ShardPlan(num_ues, jobs)
-        skew = SkewBarrier(plan.jobs,
-                           quantum or SkewBarrier.DEFAULT_QUANTUM)
-        chip.metrics.register_collector(
-            "sim.parallel", parallel_collector(skew, plan.jobs))
+            "run uses no worker processes (jobs=1), so the chaos plan "
+            "is ignored"))
     if injector is not None:
         injector.attach(chip)
     if detector is not None:
@@ -542,9 +529,6 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                 for hook in _hooks:
                     hook(round_id)
             world.barrier.on_round = barrier_round
-    if skew is not None:
-        # after the recovery hooks: bind() chains, preserving them
-        skew.bind(world.barrier, plan.shard_of.__getitem__)
 
     def core_main(rank):
         try:
@@ -553,9 +537,6 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                                  runtime, max_steps, engine=engine)
             ranks[interp.core_id] = rank
             interpreters.append(interp)
-            if skew is not None:
-                _install_quantum_hook(interp, skew,
-                                      plan.shard_of[rank], chip)
             try:
                 interp.run_main()
             except ThreadExit:
@@ -618,9 +599,6 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                         for index, stats
                         in chip.controller_stats().items()},
     }
-    if skew is not None:
-        from repro.sim.parallel import parallel_stats
-        stats["parallel"] = parallel_stats("thread", skew, plan.jobs)
     result = RunResult(
         total, config, outputs,
         per_core_cycles=per_core,

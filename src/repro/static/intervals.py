@@ -902,8 +902,13 @@ class IntervalEngine:
         if not sense:
             op = {"<": ">=", "<=": ">", ">": "<=", ">=": "<",
                   "==": "!=", "!=": "=="}[op]
-        left_val = self._eval(cond.left, env.copy())
-        right_val = self._eval(cond.right, env.copy())
+        # refined conditions are side-effect free, so evaluating an
+        # operand only reads ``env`` — unless it takes an address,
+        # which marks the local escaped; only that needs a copy
+        left_val = self._eval(cond.left, env if _reads_env_only(
+            cond.left) else env.copy())
+        right_val = self._eval(cond.right, env if _reads_env_only(
+            cond.right) else env.copy())
         if isinstance(right_val, Interval):
             env = self._refine_var(env, cond.left, right_val, op)
             if env is None:
@@ -991,6 +996,13 @@ def _has_side_effects(expr):
                 node.op in ("++", "--", "p++", "p--"):
             return True
     return False
+
+
+def _reads_env_only(expr):
+    """Whether evaluating side-effect-free ``expr`` leaves the env
+    untouched: ``&local`` is the one read that writes it."""
+    return not any(isinstance(node, c_ast.UnaryOp) and node.op == "&"
+                   for node in c_ast.walk(expr))
 
 
 def _element_type(ctype):

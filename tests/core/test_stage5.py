@@ -285,3 +285,53 @@ class TestMutexConversion:
         result = translate(source)
         assert "pthread_self" not in result.rcce_source
         assert "RCCE_ue()" in result.rcce_source
+
+
+class TestCondvarRejection:
+    SOURCE = """
+    #include <pthread.h>
+    pthread_mutex_t lock;
+    pthread_cond_t cond;
+    int ready;
+    void *tf(void *a) {
+        pthread_mutex_lock(&lock);
+        ready = 1;
+        pthread_cond_signal(&cond);
+        pthread_cond_broadcast(&cond);
+        pthread_mutex_unlock(&lock);
+        return 0;
+    }
+    int main(void) {
+        pthread_t t;
+        pthread_create(&t, 0, tf, 0);
+        pthread_mutex_lock(&lock);
+        while (!ready) {
+            pthread_cond_wait(&cond, &lock);
+            pthread_cond_timedwait(&cond, &lock, 0);
+        }
+        pthread_mutex_unlock(&lock);
+        pthread_join(t, 0);
+        return 0;
+    }
+    """
+
+    def test_each_call_is_an_error_with_its_line(self):
+        result = translate(self.SOURCE)
+        assert not result.ok
+        errors = [(d.message.split("()")[0], d.line)
+                  for d in result.diagnostics if d.is_error]
+        assert errors == [("pthread_cond_signal", 9),
+                          ("pthread_cond_broadcast", 10),
+                          ("pthread_cond_wait", 19),
+                          ("pthread_cond_timedwait", 20)]
+
+    def test_init_and_destroy_alone_still_translate(self):
+        source = TestMutexConversion.MUTEX_PROGRAM.replace(
+            "pthread_mutex_t lock;",
+            "pthread_mutex_t lock;\npthread_cond_t cond;").replace(
+            "pthread_mutex_init(&lock, 0);",
+            "pthread_mutex_init(&lock, 0);\n"
+            "        pthread_cond_init(&cond, 0);")
+        result = translate(source)
+        assert result.ok
+        assert "pthread_cond" not in result.rcce_source

@@ -27,7 +27,11 @@ from repro.scc.config import SCCConfig
 from repro.sim.compile import compile_unit
 from repro.sim.interpreter import Interpreter
 from repro.sim.machine import Memory
-from repro.sim.runner import run_pthread_single_core, run_rcce
+from repro.sim.runner import (
+    is_jobs1_fallback,
+    run_pthread_single_core,
+    run_rcce,
+)
 
 _TINY_CONFIG = dict(num_cores=4, mesh_columns=2, mesh_rows=1,
                     cores_per_tile=2, num_memory_controllers=1)
@@ -575,9 +579,9 @@ def test_process_backend_quantum_invariant(quantum):
 @settings(max_examples=12, deadline=None)
 def test_parallel_invariance_property(name, jobs, quantum):
     """Property (ISSUE 7 satellite): no (jobs, quantum) point changes
-    cycles, outputs, or attribution conservation.  Attribution forces
-    the thread backend, so this also pins the downgrade path and the
-    SkewBarrier bookkeeping it shares with the process backend."""
+    cycles, outputs, or attribution conservation.  Attribution cannot
+    be sharded, so every jobs > 1 point also pins the jobs=1 fallback:
+    no parallel stats and one warning naming the reason."""
     chip = _tiny_chip()
     result = run_rcce(_parallel_source(name), 4, chip.config, chip,
                       max_steps=50_000_000, jobs=jobs, quantum=quantum,
@@ -585,10 +589,14 @@ def test_parallel_invariance_property(name, jobs, quantum):
     assert _parallel_signature(result) == _parallel_baseline(name)
     for core, classes in result.attribution.per_core.items():
         assert sum(classes.values()) == result.per_core_cycles[core]
+    assert "parallel" not in result.stats
+    fallbacks = [diagnostic for diagnostic in result.diagnostics
+                 if is_jobs1_fallback(diagnostic)]
     if jobs > 1:
-        assert result.stats["parallel"]["backend"] == "thread"
-        assert any("thread backend" in diagnostic.format()
-                   for diagnostic in result.diagnostics)
+        assert len(fallbacks) == 1
+        assert "cycle attribution" in fallbacks[0].message
+    else:
+        assert not fallbacks
 
 
 def test_attribution_identical_across_engines():

@@ -3,8 +3,8 @@
 The differential suite (test_engine_differential.py) proves the
 byte-identity contract over the benchmark corpus; this file covers the
 machinery — shard planning, dirty-write logging, counter merging,
-backend selection and downgrades, error propagation across the process
-boundary, and deadlock detection of parked shards.
+backend selection and the jobs=1 fallback, error propagation across
+the process boundary, and deadlock detection of parked shards.
 """
 
 import os
@@ -16,10 +16,16 @@ from repro.scc.config import SCCConfig
 from repro.sim.parallel import (
     ShardMemory,
     ShardPlan,
+    SkewBarrier,
     parallel_stats,
     run_rcce_parallel,
 )
-from repro.sim.runner import run_pthread_single_core, run_rcce
+from repro.sim.runner import (
+    is_jobs1_fallback,
+    run_pthread_single_core,
+    run_rcce,
+    sharding_blockers,
+)
 from repro.sim.watchdog import SimulationTimeout
 
 try:
@@ -82,6 +88,19 @@ int RCCE_APP(int argc, char **argv) {
 def _signature(result):
     return (result.cycles, dict(result.per_core_cycles),
             result.stdout())
+
+
+def _assert_jobs1_fallback(result, baseline, reason):
+    """``result`` asked for jobs=2 but ran at jobs=1: byte-identical to
+    ``baseline``, no ``stats["parallel"]``, and one warning naming
+    ``reason`` and jobs=1."""
+    assert _signature(result) == _signature(baseline)
+    assert "parallel" not in result.stats
+    fallbacks = [d for d in result.diagnostics if is_jobs1_fallback(d)]
+    assert len(fallbacks) == 1
+    assert fallbacks[0].severity == "warning"
+    assert reason in fallbacks[0].message
+    assert "jobs=1" in fallbacks[0].message
 
 
 # -- shard planning -----------------------------------------------------------
@@ -169,7 +188,7 @@ def test_counter_state_round_trips_through_merge():
     assert target.counter_state() == shipped
 
 
-# -- backend selection and downgrades ----------------------------------------
+# -- backend selection and the jobs=1 fallback -------------------------------
 
 
 class TestBackendSelection:
@@ -200,31 +219,58 @@ class TestBackendSelection:
             run_pthread_single_core("int main(void) { return 0; }",
                                     jobs=-1)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            run_rcce(RING_SOURCE, 4, jobs=2, parallel_backend="gpu")
-
-    def test_preparsed_unit_downgrades_to_thread(self):
+    def test_preparsed_unit_falls_back_to_jobs1(self):
         from repro.cfront.frontend import parse_program
         unit = parse_program(RING_SOURCE)
-        result = run_rcce(unit, 4, jobs=2)
-        assert result.stats["parallel"]["backend"] == "thread"
-        assert any("thread backend" in diagnostic.format()
-                   for diagnostic in result.diagnostics)
+        _assert_jobs1_fallback(run_rcce(unit, 4, jobs=2),
+                               run_rcce(RING_SOURCE, 4),
+                               "a pre-parsed program unit")
 
-    def test_race_downgrades_to_thread(self):
+    def test_race_falls_back_to_jobs1(self):
         result = run_rcce(RING_SOURCE, 4, jobs=2, race=True)
-        assert result.stats["parallel"]["backend"] == "thread"
+        _assert_jobs1_fallback(result, run_rcce(RING_SOURCE, 4),
+                               "race detection")
         assert result.race is not None
-        messages = [d.format() for d in result.diagnostics]
-        assert any("race detection" in m for m in messages)
 
-    def test_thread_backend_matches_sequential(self):
-        baseline = _signature(run_rcce(RING_SOURCE, 4))
-        result = run_rcce(RING_SOURCE, 4, jobs=2,
-                          parallel_backend="thread")
-        assert _signature(result) == baseline
-        assert result.stats["parallel"]["backend"] == "thread"
+    def test_attribution_falls_back_to_jobs1(self):
+        result = run_rcce(RING_SOURCE, 4, jobs=2, attribution=True)
+        _assert_jobs1_fallback(result, run_rcce(RING_SOURCE, 4),
+                               "cycle attribution")
+        for core, classes in result.attribution.per_core.items():
+            assert sum(classes.values()) == result.per_core_cycles[core]
+
+    @pytest.mark.parametrize("feature", ["faults", "recovery", "trace"])
+    def test_unshardable_feature_falls_back_to_jobs1(self, feature):
+        from repro.obs.tracer import EventTracer
+        from repro.recovery import RecoveryOptions
+
+        def run(jobs):
+            chip = _tiny_chip()
+            kwargs = {}
+            if feature == "faults":
+                kwargs["faults"] = "dram_flip:p=0.001,seed=7"
+            elif feature == "recovery":
+                kwargs["recovery"] = RecoveryOptions(ecc=True)
+            else:
+                chip.attach_events(EventTracer(), pid=1)
+            return run_rcce(RING_SOURCE, 4, chip.config, chip,
+                            jobs=jobs, **kwargs)
+
+        reason = {"faults": "fault injection", "recovery": "recovery",
+                  "trace": "event tracing"}[feature]
+        _assert_jobs1_fallback(run(2), run(1), reason)
+
+    def test_sharding_blockers_keep_one_fixed_order(self):
+        every = sharding_blockers(unit=True, faults=True, race=True,
+                                  attribution=True, recovery=True,
+                                  tracing=True)
+        assert [reason for reason, _ in every] == [
+            "a pre-parsed program unit", "fault injection",
+            "race detection", "cycle attribution", "recovery",
+            "event tracing"]
+        assert sharding_blockers(race=True) == [("race detection",
+                                                 "--race")]
+        assert sharding_blockers() == []
 
     def test_pthread_jobs_warns_and_runs_sequentially(self):
         source = "int main(void) { return 0; }"
@@ -239,11 +285,10 @@ class TestBackendSelection:
 
 
 def test_parallel_stats_shape():
-    from repro.rcce.sync import SkewBarrier
     skew = SkewBarrier(2, 1234)
     skew.note_quantum(0, 500)
     skew.note_sync(1, 700)
-    stats = parallel_stats("process", skew, 2, start_method="fork")
+    stats = parallel_stats(skew, 2, start_method="fork")
     assert stats["backend"] == "process"
     assert stats["jobs"] == 2
     assert stats["quantum"] == 1234

@@ -6,7 +6,7 @@ schedule, :class:`ShardCheckpoint` verified-replay bookkeeping, and —
 the headline contract — byte-identity to the sequential engine after
 workers are killed or stalled at arbitrary quantum ticks, including
 hypothesis-driven random kill schedules.  The exhausted-restart-budget
-degradation ladder (process -> thread, loudly) is pinned here too.
+degradation ladder (process -> jobs=1, loudly) is pinned here too.
 """
 
 import pickle
@@ -27,7 +27,7 @@ from repro.recovery.checkpoint import ShardCheckpoint, SnapshotDivergenceError
 from repro.scc.chip import SCCChip
 from repro.scc.config import SCCConfig
 from repro.sim.parallel import run_rcce_parallel
-from repro.sim.runner import run_rcce
+from repro.sim.runner import is_jobs1_fallback, run_rcce
 from repro.sim.watchdog import (
     HostFaultError,
     ShardRestartsExhaustedError,
@@ -331,19 +331,25 @@ class TestRestartBudget:
         failure = error.report.failures[-1]
         assert failure["restored_from_round"] is None
 
-    def test_run_rcce_degrades_to_thread_backend(self):
+    def test_run_rcce_falls_back_to_jobs1(self):
         result = run_rcce(CHAOS_SOURCE, 4, jobs=2, quantum=QUANTUM,
                           chaos="worker_kill:at_tick=1",
                           shard_restarts=0)
         assert _signature(result) == _baseline()
-        assert result.stats["parallel"]["backend"] == "thread"
-        messages = [d.format() for d in result.diagnostics
-                    if d.severity == "warning"]
-        assert any("degraded to the thread backend" in m
-                   for m in messages)
-        assert any("restart budget exhausted" in m for m in messages)
+        assert "parallel" not in result.stats
+        fallbacks = [d for d in result.diagnostics
+                     if is_jobs1_fallback(d)]
+        assert len(fallbacks) == 1
+        assert "restart budget" in fallbacks[0].message
+        assert "jobs=1" in fallbacks[0].message
+        # the exhausted budget's own report rides along, as before
+        assert any("restart budget exhausted" in d.format()
+                   for d in result.diagnostics)
+        assert not any("chaos" in d.format()
+                       for d in result.diagnostics)
         assert result.recovery is not None
         assert not result.recovery.recovered
+        assert result.recovery.failures
 
     def test_budget_spent_then_success_reports_recovered(self):
         result = _chaos_run("worker_kill:at_tick=1", shard_restarts=1)
@@ -351,12 +357,13 @@ class TestRestartBudget:
         assert result.recovery.recovered
         assert result.recovery.max_restarts == 1
 
-    def test_chaos_ignored_on_thread_backend_warns(self):
-        result = run_rcce(CHAOS_SOURCE, 4, jobs=2,
-                          parallel_backend="thread",
+    def test_chaos_ignored_when_run_falls_back_warns(self):
+        result = run_rcce(CHAOS_SOURCE, 4, jobs=2, race=True,
                           chaos="worker_kill")
         assert _signature(result) == _baseline()
-        assert any("chaos" in d.format()
+        assert "parallel" not in result.stats
+        assert any(is_jobs1_fallback(d) for d in result.diagnostics)
+        assert any("chaos plan is ignored" in d.format()
                    for d in result.diagnostics
                    if d.severity == "warning")
 
@@ -370,7 +377,7 @@ class TestWatchdogComposition:
                           watchdog=Watchdog())
         assert _signature(result) == _baseline()
         assert result.stats["parallel"]["backend"] == "process"
-        assert not any("thread backend" in d.format()
+        assert not any(is_jobs1_fallback(d)
                        for d in result.diagnostics)
 
     def test_watchdog_timeouts_bound_parked_waits(self):

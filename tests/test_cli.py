@@ -363,12 +363,15 @@ class TestParallelFlags:
 
     def test_incompatible_feature_warns_without_strict(
             self, example_file):
-        code, _, err = run_cli_err(
-            ["run", example_file, "--mode", "rcce", "--ues", "2",
-             "--jobs", "2", "--race"])
+        argv = ["run", example_file, "--mode", "rcce", "--ues", "2",
+                "--race"]
+        sequential = run_cli_err(argv)
+        code, out, err = run_cli_err(argv + ["--jobs", "2"])
+        assert (code, out) == sequential[:2]
         assert code == 0
         assert "warning" in err
-        assert "thread backend" in err
+        assert "race detection" in err
+        assert "at jobs=1" in err
 
     def test_incompatible_feature_exits_2_under_strict(
             self, example_file):
@@ -377,6 +380,22 @@ class TestParallelFlags:
              "--jobs", "2", "--race", "--strict"])
         assert code == 2
         assert "--race" in err
+        assert "jobs=1" in err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--faults", "dram_flip:p=0.001,seed=7", "--engine", "tree"],
+         "--faults"),
+        (["--recover"], "--recover/--checkpoint/--restore"),
+        (["--trace", "t.json"], "--trace"),
+    ])
+    def test_every_blocker_exits_2_under_strict(self, example_file,
+                                                flags, named):
+        code, out, err = run_cli_err(
+            ["run", example_file, "--mode", "rcce", "--ues", "2",
+             "--jobs", "2", "--strict"] + flags)
+        assert code == 2
+        assert named in err
+        assert out == ""
 
     def test_native_program_runs_sharded(self, tmp_path):
         path = tmp_path / "native.c"
@@ -484,7 +503,7 @@ class TestChaosFlags:
              "--shard-restarts", "0"])
         assert code == 0
         assert (code, out) == baseline
-        assert "degraded to the thread backend" in err
+        assert "re-ran from the beginning at jobs=1" in err
         assert "restart budget" in err
 
     def test_exhausted_budget_exits_2_under_strict(self, chaos_file):
@@ -503,7 +522,7 @@ class TestChaosFlags:
             ["run", chaos_file, "--mode", "rcce", "--ues", "4",
              "--jobs", "2", "--watchdog-timeout", "30", "--strict"])
         assert code == 0
-        assert "thread backend" not in err
+        assert "jobs=1" not in err
 
     def test_parallel_deadlock_names_rank_and_site(self, tmp_path):
         path = tmp_path / "recv_deadlock.c"
@@ -518,6 +537,36 @@ class TestChaosFlags:
 
 FIXTURES = __import__("os").path.join(
     __import__("os").path.dirname(__file__), "fixtures")
+
+
+class TestCondvarRejection:
+    """Stage 5 cannot lower condition variables: translation fails
+    with a diagnostic naming each call instead of emitting an RCCE
+    program whose wait never returns."""
+
+    FIXTURE = FIXTURES + "/cond_producer_consumer.c"
+
+    def test_translate_exits_65_naming_each_call(self):
+        code, output, err = run_cli_err(["translate", self.FIXTURE])
+        assert code == 65
+        assert output == ""
+        assert "pthread_cond_wait() has no RCCE translation" in err
+        assert "line 34" in err
+        assert "pthread_cond_signal() has no RCCE translation" in err
+        assert "line 20" in err
+
+    @pytest.mark.parametrize("mode", ["rcce", "compare"])
+    def test_rcce_run_exits_65(self, mode):
+        code, _, err = run_cli_err(
+            ["run", self.FIXTURE, "--mode", mode, "--ues", "2"])
+        assert code == 65
+        assert "pthread_cond_wait" in err
+
+    def test_pthread_baseline_still_runs(self):
+        code, output, _ = run_cli_err(
+            ["run", self.FIXTURE, "--mode", "pthread"])
+        assert code == 0
+        assert "got 42" in output
 
 
 class TestRaceFlags:
